@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hetgmp-partition [-dataset name|-file path] [-scale f] [-parts n] [-rounds n]
-//	                 [-replicas f] [-hierarchical] [-reference] [-workers n] [-seed n]
+//	                 [-replicas f] [-hierarchical] [-workers n] [-seed n]
 //	                 [-metrics out.json]
 //
 // -metrics writes the partitioner's metrics-registry snapshot (per-round
@@ -35,7 +35,6 @@ func main() {
 		rounds   = flag.Int("rounds", 5, "hybrid partitioner rounds (Algorithm 1's T)")
 		replicas = flag.Float64("replicas", 0.01, "secondary replica fraction per partition")
 		hier     = flag.Bool("hierarchical", false, "price edges by a 2-machine cluster-B bandwidth hierarchy")
-		refFlag  = flag.Bool("reference", false, "use the sequential reference greedy instead of the parallel chunked-delta passes")
 		workers  = flag.Int("workers", 0, "scoring goroutines for the chunked-delta passes (0 = GOMAXPROCS; never changes the output)")
 		metPath  = flag.String("metrics", "", "write the hybrid partitioner's metrics snapshot as JSON to this file")
 		seed     = flag.Uint64("seed", 22, "random seed")
@@ -90,16 +89,11 @@ func main() {
 	cfg.ReplicaFraction = *replicas
 	cfg.Weights = weights
 	cfg.Seed = *seed
-	cfg.Reference = *refFlag
 	cfg.Parallelism = *workers
 	var reg *obs.Registry
 	if *metPath != "" {
 		reg = obs.NewRegistry(1)
 		cfg.Obs = reg
-	}
-	hybridLabel := "Hybrid"
-	if *refFlag {
-		hybridLabel = "Hybrid-ref"
 	}
 	hr, err := partition.Hybrid(g, cfg)
 	if err != nil {
@@ -107,7 +101,7 @@ func main() {
 		os.Exit(1)
 	}
 	for _, rs := range hr.Rounds {
-		label := fmt.Sprintf("%s (round %d)", hybridLabel, rs.Round)
+		label := fmt.Sprintf("Hybrid (round %d)", rs.Round)
 		if rs.Round == *rounds {
 			addRow(t, label, partition.Evaluate(g, hr.Assignment, weights), rq, rs.Elapsed)
 		} else {

@@ -215,7 +215,11 @@ func main() {
 		s = embed.StalenessInf
 	}
 	st0 := train.Stats()
-	tiers := tierConfig(*tierHot, *tierCold, *memBudget, *tierDir, st0.NumFeatures, *dim)
+	tiers, err := tierConfig(*tierHot, *tierCold, *memBudget, *tierDir, st0.NumFeatures, *dim)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hetgmp-train:", err)
+		os.Exit(2)
+	}
 	tr, err := systems.Build(systems.System(*sysName), systems.Options{
 		Train: train, Test: test, ModelName: *model, Topo: topo,
 		Dim: *dim, BatchPerWorker: *batch, Epochs: *epochs,
@@ -378,8 +382,13 @@ func main() {
 // hot and cold follow the fraction-or-rows convention (<1: fraction of
 // features; ≥1: absolute rows). A memory budget overrides hot: the cache is
 // sized to fit budget bytes of rows (at least one), and every row the budget
-// cannot hold beyond the hot set spills cold.
-func tierConfig(hot, cold float64, budget int64, dir string, features, dim int) embed.TierConfig {
+// cannot hold beyond the hot set spills cold. The hot set is clamped to the
+// feature count and the cold set to the rows the hot set leaves. A cold
+// spill without a hot cache is an error: the flat store has no cold tier.
+func tierConfig(hot, cold float64, budget int64, dir string, features, dim int) (embed.TierConfig, error) {
+	if cold > 0 && hot <= 0 && budget <= 0 {
+		return embed.TierConfig{}, fmt.Errorf("-tier-cold needs -tier-hot or -mem-budget")
+	}
 	rows := func(v float64) int {
 		if v <= 0 {
 			return 0
@@ -392,22 +401,14 @@ func tierConfig(hot, cold float64, budget int64, dir string, features, dim int) 
 	cfg := embed.TierConfig{HotRows: rows(hot), ColdRows: rows(cold), ColdDir: dir}
 	if budget > 0 {
 		rowBytes := int64(dim) * 4
-		h := int(budget / rowBytes)
-		if h < 1 {
-			h = 1
-		}
-		if h > features {
-			h = features
-		}
-		cfg.HotRows = h
+		cfg.HotRows = int(max(1, min(budget/rowBytes, int64(features))))
 		if cfg.ColdRows == 0 {
-			cfg.ColdRows = features - h
+			cfg.ColdRows = features - cfg.HotRows
 		}
 	}
-	if cfg.ColdRows > features-cfg.HotRows {
-		cfg.ColdRows = features - cfg.HotRows
-	}
-	return cfg
+	cfg.HotRows = min(cfg.HotRows, features)
+	cfg.ColdRows = min(cfg.ColdRows, features-cfg.HotRows)
+	return cfg, nil
 }
 
 // rankPath inserts ".rankN" before the extension, so each rank of a

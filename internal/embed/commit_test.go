@@ -1,7 +1,6 @@
 package embed
 
 import (
-	"math"
 	"runtime"
 	"testing"
 
@@ -14,7 +13,7 @@ import (
 // commitFixture builds a table large enough that Commit crosses the
 // parallel-drain spawn threshold: 8 workers, 512 features, replicas of
 // every fourth feature on every worker.
-func commitFixture(t *testing.T, optimizer optim.Sparse, commit CommitConfig) *Table {
+func commitFixture(t *testing.T, optimizer optim.Sparse) *Table {
 	t.Helper()
 	const (
 		workers  = 8
@@ -34,7 +33,6 @@ func commitFixture(t *testing.T, optimizer optim.Sparse, commit CommitConfig) *T
 	tbl, err := NewTable(Config{
 		NumFeatures: features, Dim: dim, Assign: a,
 		Optimizer: optimizer, LocalLR: 0.1, Seed: 21,
-		Commit: commit,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +70,7 @@ func driveCommitWorkload(tbl *Table, rounds int) {
 				grads.Data[i] = 2*r.Float32() - 1
 			}
 			tbl.Update(w, feats, grads, 3)
-			// PS-style direct pushes, including duplicates for fusion.
+			// PS-style direct pushes, including duplicate features.
 			for j := 0; j < 8; j++ {
 				x := feats[j%4]
 				tbl.QueuePrimary(w, x, grads.Row(j))
@@ -98,48 +96,41 @@ func snapshotCommit(tbl *Table) commitSnapshot {
 	return s
 }
 
-// TestCommitParallelBitIdentical pins the tentpole contract: the
+// TestCommitParallelBitIdentical pins the commit contract: the
 // owner-sharded parallel drain produces bit-identical primaries, clocks,
-// and tracked step norms to the Reference serial drain, at GOMAXPROCS 1,
-// 4, and 8 and at several explicit parallelism caps.
+// and tracked step norms to the serial drain at GOMAXPROCS 1, at
+// GOMAXPROCS 3 (a goroutine count that does not divide the owner count),
+// 4 and 8.
 func TestCommitParallelBitIdentical(t *testing.T) {
-	run := func(commit CommitConfig) commitSnapshot {
-		tbl := commitFixture(t, optim.NewSGD(0.05), commit)
+	run := func(procs int) commitSnapshot {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		tbl := commitFixture(t, optim.NewSGD(0.05))
 		tbl.TrackStepNorms(true)
 		driveCommitWorkload(tbl, 4)
 		return tbl.snapshotForTest()
 	}
-	ref := run(CommitConfig{Reference: true})
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		for _, commit := range []CommitConfig{
-			{},               // GOMAXPROCS-wide parallel drain
-			{Parallelism: 3}, // cap that does not divide the owner count
-			{Parallelism: 8},
-		} {
-			got := run(commit)
-			if len(got.primary) != len(ref.primary) {
-				t.Fatalf("GOMAXPROCS=%d %+v: primary size mismatch", procs, commit)
+	ref := run(1)
+	for _, procs := range []int{3, 4, 8} {
+		got := run(procs)
+		if len(got.primary) != len(ref.primary) {
+			t.Fatalf("GOMAXPROCS=%d: primary size mismatch", procs)
+		}
+		for i := range ref.primary {
+			if got.primary[i] != ref.primary[i] {
+				t.Fatalf("GOMAXPROCS=%d: primary[%d] = %v, serial %v",
+					procs, i, got.primary[i], ref.primary[i])
 			}
-			for i := range ref.primary {
-				if got.primary[i] != ref.primary[i] {
-					t.Fatalf("GOMAXPROCS=%d %+v: primary[%d] = %v, reference %v",
-						procs, commit, i, got.primary[i], ref.primary[i])
-				}
+		}
+		for x := range ref.clocks {
+			if got.clocks[x] != ref.clocks[x] {
+				t.Fatalf("GOMAXPROCS=%d: clock[%d] = %d, serial %d",
+					procs, x, got.clocks[x], ref.clocks[x])
 			}
-			for x := range ref.clocks {
-				if got.clocks[x] != ref.clocks[x] {
-					t.Fatalf("GOMAXPROCS=%d %+v: clock[%d] = %d, reference %d",
-						procs, commit, x, got.clocks[x], ref.clocks[x])
-				}
-			}
-			if got.normSq != ref.normSq {
-				t.Fatalf("GOMAXPROCS=%d %+v: stepNormSq = %v, reference %v",
-					procs, commit, got.normSq, ref.normSq)
-			}
+		}
+		if got.normSq != ref.normSq {
+			t.Fatalf("GOMAXPROCS=%d: stepNormSq = %v, serial %v",
+				procs, got.normSq, ref.normSq)
 		}
 	}
 }
@@ -150,62 +141,9 @@ func (t *Table) snapshotForTest() commitSnapshot {
 	return snapshotCommit(t)
 }
 
-// TestCommitFusedClockEquivalence pins the fusion contract for a linear
-// optimizer: clocks (and hence everything the engine prices — sim time,
-// traffic) match the sequential drain exactly, while primary values agree
-// to float rounding (fusing folds g1+g2 before the lr multiply, which
-// reassociates the float32 arithmetic).
-func TestCommitFusedClockEquivalence(t *testing.T) {
-	seq := commitFixture(t, optim.NewSGD(0.05), CommitConfig{})
-	fused := commitFixture(t, optim.NewSGD(0.05), CommitConfig{Fuse: true})
-	if !fused.fuse {
-		t.Fatal("fusion not engaged for SGD")
-	}
-	driveCommitWorkload(seq, 4)
-	driveCommitWorkload(fused, 4)
-	for x := range seq.primaryClock {
-		if seq.primaryClock[x] != fused.primaryClock[x] {
-			t.Fatalf("clock[%d]: sequential %d, fused %d", x, seq.primaryClock[x], fused.primaryClock[x])
-		}
-	}
-	// Values agree to rounding: bound the divergence relative to the step
-	// scale rather than demanding bit equality.
-	seqVals, fusedVals := seq.primaryValues(), fused.primaryValues()
-	for i := range seqVals {
-		a, b := float64(seqVals[i]), float64(fusedVals[i])
-		if math.Abs(a-b) > 1e-4*(1+math.Abs(a)) {
-			t.Fatalf("primary[%d]: sequential %v, fused %v", i, a, b)
-		}
-	}
-}
-
-// TestCommitFuseIgnoredForNonlinear pins the gating: AdaGrad does not
-// declare optim.Linearizable, so a Fuse request is ignored and the run is
-// bit-identical to the unfused path.
-func TestCommitFuseIgnoredForNonlinear(t *testing.T) {
-	mk := func(commit CommitConfig) *Table {
-		return commitFixture(t, optim.NewAdaGrad(0.05, 512, 8), commit)
-	}
-	fused := mk(CommitConfig{Fuse: true})
-	if fused.fuse {
-		t.Fatal("fusion engaged for AdaGrad, which keeps the sequential apply")
-	}
-	plain := mk(CommitConfig{})
-	driveCommitWorkload(fused, 3)
-	driveCommitWorkload(plain, 3)
-	plainVals, fusedVals := plain.primaryValues(), fused.primaryValues()
-	for i := range plainVals {
-		if plainVals[i] != fusedVals[i] {
-			t.Fatalf("primary[%d] differs: %v vs %v", i, plainVals[i], fusedVals[i])
-		}
-	}
-}
-
 // TestQueueCommitAllocationFree pins the arena claim: after a warmup
 // window grows the arena and queues to steady-state capacity, the
-// queue→commit path runs without heap allocation. The Reference path must
-// keep the seed's one-allocation-per-update behaviour so the benchmark's
-// A/B comparison stays honest.
+// queue→commit path runs without heap allocation.
 func TestQueueCommitAllocationFree(t *testing.T) {
 	const updates = 100
 	grad := make([]float32, 8)
@@ -225,12 +163,10 @@ func TestQueueCommitAllocationFree(t *testing.T) {
 			tbl.Commit()
 		})
 	}
-	// Parallelism 1 keeps the drain on the calling goroutine so the number
+	// GOMAXPROCS 1 keeps the drain on the calling goroutine so the number
 	// below is the per-update path itself, not goroutine-spawn overhead.
-	if allocs := run(commitFixture(t, optim.NewSGD(0.05), CommitConfig{Parallelism: 1})); allocs > 0 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if allocs := run(commitFixture(t, optim.NewSGD(0.05))); allocs > 0 {
 		t.Fatalf("arena path: %v allocs per %d-update window, want 0", allocs, updates)
-	}
-	if allocs := run(commitFixture(t, optim.NewSGD(0.05), CommitConfig{Reference: true})); allocs < updates {
-		t.Fatalf("reference path: %v allocs per %d-update window, want one per update", allocs, updates)
 	}
 }

@@ -39,7 +39,7 @@ func (t *Table) Footprint() obs.Footprint {
 	var (
 		replicaVals, replicaPend, replicaCnt, replicaClock int64
 		replicaIdx, replicaFeats                           int64
-		queueEntries, queueArena, fuseIdx                  int64
+		queueEntries, queueArena                           int64
 		scratch                                            int64
 	)
 	for _, sh := range t.shards {
@@ -53,7 +53,6 @@ func (t *Table) Footprint() obs.Footprint {
 			queueEntries += int64(cap(q)) * queueEntry
 		}
 		queueArena += int64(cap(sh.arena)) * f32Bytes
-		fuseIdx += int64(len(sh.fuseGen))*4 + int64(len(sh.fuseSlot))*i32Bytes
 		scratch += int64(len(sh.perOwner))*ownerEntry + int64(cap(sh.interOrder))*i32Bytes
 	}
 	scratch += int64(len(t.freq)) * f64Bytes
@@ -82,7 +81,6 @@ func (t *Table) Footprint() obs.Footprint {
 		memacct.Node("queues",
 			memacct.Leaf("entries", queueEntries),
 			memacct.Leaf("arena", queueArena),
-			memacct.Leaf("fuse_index", fuseIdx),
 		),
 		memacct.Leaf("scratch", scratch),
 	)

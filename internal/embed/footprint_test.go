@@ -114,7 +114,7 @@ func TestFootprintDeterministic(t *testing.T) {
 // the sum of its children — analyze.VerifyCapacity's invariant) and the
 // tier leaves agree with the TierStats ledger.
 func TestTieredFootprintAccountsAllStructures(t *testing.T) {
-	tbl := tierFixture(t, testTiers(), CommitConfig{})
+	tbl := tierFixture(t, testTiers())
 	driveCommitWorkload(tbl, 2) // grow the touch logs past capacity zero
 	fp := tbl.Footprint()
 	if err := fp.Validate(); err != nil {

@@ -12,8 +12,8 @@ import (
 // clock-LFU cache over the Zipf head, a packed warm arena, and file-backed
 // cold spill shards — instead of one flat matrix. The values are the same
 // float32 bits wherever a row lives, and all tier movement happens at
-// commit boundaries, so a tiered run is bit-identical to the flat
-// Reference table at any GOMAXPROCS.
+// commit boundaries, so a tiered run is bit-identical to the flat table at
+// any GOMAXPROCS.
 //
 // # Determinism
 //
@@ -30,12 +30,8 @@ import (
 // never consults a map iteration or the wall clock.
 
 // TierConfig selects the Table's row-storage implementation. The zero
-// value (and Reference) keeps the flat matrix.
+// value keeps the flat matrix.
 type TierConfig struct {
-	// Reference forces the flat single-matrix store regardless of the
-	// other fields — the retained baseline the bit-identity oracle
-	// compares against, à la CommitConfig.Reference.
-	Reference bool
 	// HotRows is the hot tier's capacity in rows. 0 disables tiering.
 	// Sized explicitly, or from a run's own read-coverage curve via
 	// RecommendHotRows (hetgmp-obs capacity).
@@ -52,7 +48,7 @@ type TierConfig struct {
 }
 
 // Enabled reports whether the config asks for the tiered store.
-func (c TierConfig) Enabled() bool { return !c.Reference && c.HotRows > 0 }
+func (c TierConfig) Enabled() bool { return c.HotRows > 0 }
 
 // TierStats is the tiered store's access ledger: per-tier row and byte
 // sizing, hit counters by access path, and the maintenance pass's
@@ -118,8 +114,9 @@ type rowStore interface {
 	close() error
 }
 
-// flatStore is the seed layout: every row in one matrix. It remains the
-// Reference arm of the tier bit-identity oracle.
+// flatStore is the seed layout: every row in one matrix. It is what
+// TierConfig{} selects, and the arm the tier bit-identity tests compare the
+// tiered store against.
 type flatStore struct {
 	m *tensor.Matrix
 }

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"testing"
+	"time"
 
 	"hetgmp/internal/consistency"
+	"hetgmp/internal/embed"
 	"hetgmp/internal/obs"
 	"hetgmp/internal/obs/analyze"
 )
@@ -168,19 +170,30 @@ func TestReportRequiresSinks(t *testing.T) {
 	}
 }
 
-// TestConfigHashStable pins that the run-identity hash covers the protocol:
-// two configs differing only in staleness must hash differently, identical
-// configs identically.
+// TestConfigHashStable pins that the run-identity hash covers the protocol
+// and nothing else: two configs differing only in staleness must hash
+// differently, identical configs identically, and the storage layout and
+// the transport mesh — which never change the simulated result — must not
+// move the hash.
 func TestConfigHashStable(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t)
 	a := f.config(t, nil)
-	b := f.config(t, nil)
-	if a.Hash() != b.Hash() {
-		t.Error("identical configs hash differently")
-	}
-	c := f.config(t, func(c *Config) { c.Staleness = 7 })
-	if c.Hash() == a.Hash() {
-		t.Error("staleness change not reflected in config hash")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		same   bool
+	}{
+		{"identical", nil, true},
+		{"staleness changed", func(c *Config) { c.Staleness = 7 }, false},
+		{"Tiers set", func(c *Config) {
+			c.Tiers = embed.TierConfig{HotRows: 16, ColdRows: 32, ColdDir: t.TempDir()}
+		}, true},
+		{"Dist set", func(c *Config) { c.Dist = &DistConfig{RecvTimeout: time.Second} }, true},
+	} {
+		b := f.config(t, tc.mutate)
+		if got := b.Hash() == a.Hash(); got != tc.same {
+			t.Errorf("%s: hash equal = %v, want %v", tc.name, got, tc.same)
+		}
 	}
 }

@@ -13,7 +13,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"hetgmp/internal/bigraph"
 	"hetgmp/internal/cluster"
@@ -40,36 +39,6 @@ type PSConfig struct {
 	// HybridDense keeps dense parameters on GPUs synchronised by AllReduce
 	// (Parallax). False routes dense traffic through the PS too (TF-PS).
 	HybridDense bool
-}
-
-// ExecConfig selects the engine's wall-clock execution strategy. The
-// simulated run — AUC history, sim time, traffic — is invariant to every
-// field here; the knobs only trade host CPU time, which is why Config.Hash
-// excludes them.
-type ExecConfig struct {
-	// Reference retains the seed execution end to end: one goroutine
-	// spawned per worker per iteration through a semaphore, a serial dense
-	// reduce and apply, and the embedding table's serial reference commit
-	// with per-update heap allocation. The default path is bit-identical to
-	// it; the flag exists so hetgmp-bench -perf-train can time the serial
-	// iteration tail this mode preserves.
-	Reference bool
-	// Fuse requests queue-side delta fusion in the embedding table
-	// (embed.CommitConfig.Fuse). Honoured only for linear optimizers;
-	// clocks and traffic stay exact, primary values agree to rounding.
-	Fuse bool
-	// Pipeline overlaps iteration i+1's batch preparation (feature dedup and
-	// label gather — the pure, table-independent prefix of the gather stage)
-	// with iteration i's forward/backward/commit, double-buffered per worker
-	// with two in-flight dedup generations. The embedding Read itself cannot
-	// move: it must observe iteration i's Commit, which is exactly what keeps
-	// the flag result-invariant. Ignored under Reference and in distributed
-	// mode.
-	Pipeline bool
-	// Parallelism caps the worker pool, the commit's owner sweeps, the
-	// dense-sweep goroutines and the batch-parallel compute pool. 0 means
-	// GOMAXPROCS.
-	Parallelism int
 }
 
 // Config parameterises one training run.
@@ -158,12 +127,8 @@ type Config struct {
 	// cluster clock, exportable as Chrome trace_event JSON.
 	Tracer *obs.Tracer
 
-	// Exec selects the wall-clock execution strategy. It never changes the
-	// simulated result (Hash excludes it); see ExecConfig.
-	Exec ExecConfig
-
 	// Tiers selects the embedding table's storage layout (hot cache + warm
-	// arena + cold spill). Like Exec it never changes the simulated result —
+	// arena + cold spill). It never changes the simulated result —
 	// every tier holds the same raw float32 rows and the commit discipline
 	// fixes the apply order — so Hash excludes it.
 	Tiers embed.TierConfig
@@ -371,16 +336,11 @@ type Trainer struct {
 	dist *distState
 
 	// model is cfg.Model behind the batch-parallel wrapper: every forward,
-	// backward, Grads and dense apply in the engine goes through it, so the
-	// Reference and optimized strategies run the same fixed row-range grid
-	// (nn.DefaultRangeRows) and stay bit-identical — Reference just walks it
-	// serially (nil pool).
+	// backward, Grads and dense apply in the engine goes through it, on the
+	// fixed row-range grid (nn.DefaultRangeRows), so the result does not
+	// depend on how many goroutines walk the grid. Run installs a
+	// GOMAXPROCS-wide compute pool for its duration.
 	model *nn.Parallel
-	// nnPool is the shared compute pool behind model during a non-Reference
-	// Run; nil otherwise.
-	nnPool *nn.Pool
-	// pipelineOn caches the effective Exec.Pipeline decision.
-	pipelineOn bool
 
 	workers []*worker
 	// denseGrad[w] is worker w's flattened dense gradient for the current
@@ -416,12 +376,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		Seed:        cfg.Seed,
 		Check:       check,
 		Obs:         cfg.Metrics,
-		Commit: embed.CommitConfig{
-			Reference:   cfg.Exec.Reference,
-			Fuse:        cfg.Exec.Fuse,
-			Parallelism: cfg.Exec.Parallelism,
-		},
-		Tiers: cfg.Tiers,
+		Tiers:       cfg.Tiers,
 	})
 	if err != nil {
 		return nil, err
@@ -430,14 +385,13 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	fabric.SetChecker(check)
 	fabric.SetObs(cfg.Metrics)
 	t := &Trainer{
-		cfg:        cfg,
-		fabric:     fabric,
-		table:      table,
-		check:      check,
-		n:          n,
-		model:      nn.NewParallel(cfg.Model),
-		pipelineOn: cfg.Exec.Pipeline && !cfg.Exec.Reference && cfg.Dist == nil,
-		denseAvg:   make([]float32, cfg.Model.ParamCount()),
+		cfg:      cfg,
+		fabric:   fabric,
+		table:    table,
+		check:    check,
+		n:        n,
+		model:    nn.NewParallel(cfg.Model),
+		denseAvg: make([]float32, cfg.Model.ParamCount()),
 	}
 	t.verifyShardCoverage()
 	if cfg.Dist != nil {
@@ -575,34 +529,22 @@ func (t *Trainer) Run() (*Result, error) {
 	if cfg.TrackConvergence {
 		t.table.TrackStepNorms(true)
 	}
-	// The per-iteration fan-out: the default is a pool of long-lived
-	// per-worker goroutines signalled over channels, so the hot loop's only
-	// per-iteration cost is channel sends. Reference mode keeps the seed's
-	// spawn-per-iteration-through-a-semaphore form.
+	// The per-iteration fan-out is a pool of long-lived per-worker
+	// goroutines signalled over channels, so the hot loop's only
+	// per-iteration cost is channel sends. Distributed mode runs exactly one
+	// worker per iteration on this rank (distIterate) and needs no fan-out.
 	var pool *workerPool
-	var sem chan struct{}
-	switch {
-	case t.dist != nil:
-		// Distributed: this rank runs exactly one worker per iteration
-		// (distIterate), so no local fan-out machinery is needed.
-	case cfg.Exec.Reference:
-		sem = make(chan struct{}, maxParallelism())
-	default:
+	if t.dist == nil {
 		pool = newWorkerPool(t.workers)
 		defer pool.stop()
 	}
-	// The batch-parallel compute pool behind the model wrapper. Reference
-	// keeps the wrapper pool-less: the identical grid math runs serially,
-	// which is what the bit-identity gates compare against.
-	if !cfg.Exec.Reference {
-		t.nnPool = nn.NewPool(t.execParallelism())
-		t.model.SetPool(t.nnPool)
-		defer func() {
-			t.model.SetPool(nil)
-			t.nnPool.Close()
-			t.nnPool = nil
-		}()
-	}
+	// The batch-parallel compute pool behind the model wrapper.
+	nnPool := nn.NewPool(maxParallelism())
+	t.model.SetPool(nnPool)
+	defer func() {
+		t.model.SetPool(nil)
+		nnPool.Close()
+	}()
 	global := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, w := range t.workers {
@@ -614,7 +556,7 @@ func (t *Trainer) Run() (*Result, error) {
 				if err := t.distIterate(); err != nil {
 					return nil, err
 				}
-			} else if pool != nil {
+			} else {
 				for _, w := range t.workers {
 					if !w.hasWork() {
 						w.resetIdle()
@@ -623,22 +565,6 @@ func (t *Trainer) Run() (*Result, error) {
 					pool.dispatch(w.id)
 				}
 				pool.wait()
-			} else {
-				var wg sync.WaitGroup
-				for _, w := range t.workers {
-					if !w.hasWork() {
-						w.resetIdle()
-						continue
-					}
-					wg.Add(1)
-					sem <- struct{}{}
-					go func(w *worker) {
-						defer wg.Done()
-						defer func() { <-sem }()
-						w.runIteration()
-					}(w)
-				}
-				wg.Wait()
 			}
 
 			// Barrier: the slowest worker gates the iteration — or the
@@ -810,11 +736,6 @@ func (t *Trainer) Run() (*Result, error) {
 }
 
 func (t *Trainer) finalize(res *Result) {
-	// Join any batch-prep prefetch still in flight (early stop can leave
-	// one per worker) before the run's state is read out.
-	for _, w := range t.workers {
-		w.joinPrefetch()
-	}
 	// In distributed mode, hold every rank at the finish line until all
 	// have arrived, so no rank tears its transport down while a peer is
 	// still mid-collective.
@@ -997,7 +918,7 @@ func (t *Trainer) reduceDense() {
 			avg[i] *= inv
 		}
 	}
-	if par := t.execParallelism(); par > 1 && len(t.denseAvg) >= denseChunkMin {
+	if par := maxParallelism(); par > 1 && len(t.denseAvg) >= denseChunkMin {
 		runChunks(len(t.denseAvg), par, sweep)
 	} else {
 		sweep(0, len(t.denseAvg))
@@ -1017,7 +938,7 @@ func (t *Trainer) applyWorkerDense(wi int) {
 // The updates are elementwise with the accumulator addressed at the chunk
 // offset, so any chunking is bit-identical to one whole-vector Step.
 func (t *Trainer) parallelStep(params, grad []float32) {
-	par := t.execParallelism()
+	par := maxParallelism()
 	cd, ok := t.cfg.DenseOpt.(optim.ChunkedDense)
 	if !ok || par <= 1 || len(params) < denseChunkMin {
 		t.cfg.DenseOpt.Step(params, grad)

@@ -5,13 +5,10 @@ import (
 	"sync"
 )
 
-// workerPool runs one long-lived goroutine per worker. The trainer's hot
-// loop previously spawned a fresh goroutine per worker per iteration
-// through a semaphore; the pool replaces each spawn with one channel send,
-// so the fan-out cost no longer grows with the iteration count. Worker
-// goroutines only touch their own worker's state plus the table's
-// concurrent-phase API, which is the same sharing discipline the spawned
-// form had — determinism is unaffected.
+// workerPool runs one long-lived goroutine per worker; each iteration's
+// fan-out is one channel send per worker. Worker goroutines only touch
+// their own worker's state plus the table's concurrent-phase API, so the
+// result does not depend on scheduling.
 type workerPool struct {
 	start   []chan struct{}
 	done    chan int
@@ -77,18 +74,6 @@ func (p *workerPool) stop() {
 // sweeps stay serial: goroutine hand-off costs more than it saves on the
 // small models the tests use.
 const denseChunkMin = 4096
-
-// execParallelism resolves the goroutine budget for the engine's chunked
-// sweeps: 1 in Reference mode, the configured cap, else GOMAXPROCS.
-func (t *Trainer) execParallelism() int {
-	if t.cfg.Exec.Reference {
-		return 1
-	}
-	if p := t.cfg.Exec.Parallelism; p > 0 {
-		return p
-	}
-	return maxParallelism()
-}
 
 // runChunks splits [0, n) into par contiguous chunks and runs fn on them
 // concurrently, re-raising the first chunk panic on the caller. fn must

@@ -26,24 +26,13 @@ type worker struct {
 	// generation-stamped index keyed by feature id — uniqSlot[x] is x's slot
 	// in uniq iff uniqGen[x] equals the current batch's generation. Bumping
 	// uniqGen invalidates the whole index in O(1) and the lookups are two
-	// array reads with no hashing or allocation. The stamps also make the
-	// iteration pipeline safe: the prefetched batch preps under generation
-	// g+1 while the running iteration's indexes (generation g) are already
-	// frozen into its batchPrep, so two generations are in flight at once.
+	// array reads with no hashing or allocation.
 	uniqGen  []uint32
 	uniqSlot []int32
 	gen      uint32
 
-	// prep double-buffers the pure batch-preparation stage (see pipeline.go):
-	// the running iteration consumes prep[curPrep] while ExecConfig.Pipeline
-	// prefetches the next batch into the other buffer. prefetchWait joins an
-	// in-flight prefetch; nil when none is outstanding.
-	prep         [2]batchPrep
-	curPrep      int
-	prefetchWait func()
-
-	// uniq, labels and batchIdx alias the active batchPrep's buffers for the
-	// duration of one iteration.
+	// The current batch, filled by prepBatch: its unique features, labels
+	// and per-(sample,field) index into uniq.
 	uniq     []int32
 	labels   []float32
 	batchIdx []int32 // per (sample,field): index into uniq
@@ -128,17 +117,13 @@ func newWorker(id int, t *Trainer, samples []int32, rng *xrand.RNG) *worker {
 		state:    t.model.NewState(b),
 		uniqGen:  make([]uint32, cfg.Train.NumFeatures),
 		uniqSlot: make([]int32, cfg.Train.NumFeatures),
+		uniq:     make([]int32, 0, b*fields),
+		labels:   make([]float32, b),
+		batchIdx: make([]int32, b*fields),
 		embBuf:   tensor.NewMatrix(b*fields, cfg.Dim),
 		gradBuf:  tensor.NewMatrix(b*fields, cfg.Dim),
 		input:    tensor.NewMatrix(b, fields*cfg.Dim),
 		dLogit:   make([]float32, b),
-	}
-	for i := range w.prep {
-		w.prep[i] = batchPrep{
-			uniq:     make([]int32, 0, b*fields),
-			batchIdx: make([]int32, b*fields),
-			labels:   make([]float32, b),
-		}
 	}
 	if cfg.PS != nil {
 		w.iterHostBytes = make([]int64, cfg.PS.Hosts)
@@ -154,10 +139,8 @@ func (w *worker) startEpoch() {
 	w.rng.Shuffle(len(w.order), func(i, j int) { w.order[i], w.order[j] = w.order[j], w.order[i] })
 }
 
-// hasWork reports whether any local samples remain this epoch. An in-flight
-// prefetch counts: its batch was already cut from the cursor, and skipping
-// it would drop those samples from the epoch.
-func (w *worker) hasWork() bool { return w.cursor < len(w.order) || w.prefetchWait != nil }
+// hasWork reports whether any local samples remain this epoch.
+func (w *worker) hasWork() bool { return w.cursor < len(w.order) }
 
 // resetIdle clears every per-iteration counter of a worker that runs no
 // batch this iteration. The NIC counters matter most: nicQueueDelay sums
@@ -178,18 +161,44 @@ func (w *worker) resetIdle() {
 	}
 }
 
-// runIteration processes one mini-batch: prep (dedup/labels, possibly
-// prefetched by the pipeline) → gather (Read) → forward → loss → backward →
-// scatter (Update), charging simulated time for each stage.
+// prepBatch cuts the next mini-batch from the epoch order, advances the
+// cursor, gathers its labels and deduplicates its features — the paper's
+// "local reduction" — into uniq and batchIdx. It returns the batch size.
+func (w *worker) prepBatch() int {
+	cfg := &w.t.cfg
+	end := min(w.cursor+cfg.BatchPerWorker, len(w.order))
+	batch := w.order[w.cursor:end]
+	w.cursor = end
+	fields := cfg.Train.NumFields
+	w.gen++
+	if w.gen == 0 {
+		// Generation counter wrapped: old stamps become ambiguous, so
+		// invalidate them all once and restart from 1.
+		clear(w.uniqGen)
+		w.gen = 1
+	}
+	w.uniq = w.uniq[:0]
+	for r, si := range batch {
+		s := &cfg.Train.Samples[si]
+		w.labels[r] = s.Label
+		for f, x := range s.Features {
+			if w.uniqGen[x] != w.gen {
+				w.uniqGen[x] = w.gen
+				w.uniqSlot[x] = int32(len(w.uniq))
+				w.uniq = append(w.uniq, x)
+			}
+			w.batchIdx[r*fields+f] = w.uniqSlot[x]
+		}
+	}
+	return len(batch)
+}
+
+// runIteration processes one mini-batch: prep (dedup/labels) → gather
+// (Read) → forward → loss → backward → scatter (Update), charging simulated
+// time for each stage.
 func (w *worker) runIteration() {
 	cfg := &w.t.cfg
-	p := w.takePrep()
-	w.uniq, w.labels, w.batchIdx = p.uniq, p.labels, p.batchIdx
-	bs := p.bs
-	// As soon as the current prep is frozen, start preparing the next batch
-	// in the other buffer — it overlaps everything below, including the
-	// embedding Read, which itself must stay after the previous Commit.
-	w.kickPrefetch()
+	bs := w.prepBatch()
 	w.iterSamples = bs
 	w.iterNICOut, w.iterNICIn = 0, 0
 	w.resetIterStats()

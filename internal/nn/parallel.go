@@ -10,9 +10,8 @@ import (
 // DefaultRangeRows is the fixed row-range width the batch-parallel dense
 // path shards every mini-batch into. It is a constant, not a tunable: the
 // per-element gradient reduction order is (shard 0 + shard 1 + ...), so the
-// grid geometry is part of the numerical result. Both the Reference and the
-// optimized execution strategies run the same grid — Reference just executes
-// it serially — which is what keeps them bit-identical at any pool size.
+// grid geometry is part of the numerical result. A serial walk of the grid
+// (nil pool) and a parallel one produce the same bits at any pool size.
 const DefaultRangeRows = 64
 
 // Pool is a shared compute pool for batch-parallel forward/backward. Workers
@@ -21,8 +20,7 @@ const DefaultRangeRows = 64
 // concurrent Run calls from several engine workers cannot deadlock even when
 // every pool goroutine is busy.
 //
-// A nil *Pool is valid and means "execute inline on the caller": the serial
-// Reference path is exactly that.
+// A nil *Pool is valid and means "execute inline on the caller".
 type Pool struct {
 	tasks chan func()
 	quit  chan struct{}
@@ -52,8 +50,8 @@ func (p *Pool) loop() {
 	}
 }
 
-// Close stops the pool goroutines. Idempotent. Run/Go calls after Close fall
-// back to inline/spawned execution, so a late caller degrades, not deadlocks.
+// Close stops the pool goroutines. Idempotent. Run calls after Close fall
+// back to inline execution, so a late caller degrades, not deadlocks.
 func (p *Pool) Close() {
 	if p == nil {
 		return
@@ -112,34 +110,6 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	}
 }
 
-// Go runs fn asynchronously — on an idle pool goroutine if one is free,
-// otherwise on a fresh goroutine — and returns a wait function that blocks
-// until fn finished and re-raises its panic, if any. A nil *Pool spawns.
-func (p *Pool) Go(fn func()) (wait func()) {
-	done := make(chan struct{})
-	var panicVal any
-	task := func() {
-		defer close(done)
-		defer func() { panicVal = recover() }()
-		fn()
-	}
-	if p == nil {
-		go task()
-	} else {
-		select {
-		case p.tasks <- task:
-		default:
-			go task()
-		}
-	}
-	return func() {
-		<-done
-		if panicVal != nil {
-			panic(panicVal)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Batch-parallel Network wrapper
 
@@ -155,8 +125,7 @@ func (p *Pool) Go(fn func()) (wait func()) {
 // row-independent in all three models. Cross-row sums (dW, dB) are computed
 // per shard and combined elementwise in shard order, so they are
 // bit-identical between the serial (nil pool) and parallel executions, which
-// is exactly the Reference ≡ optimized equivalence the engine and the perf
-// harness assert.
+// is what the engine's GOMAXPROCS bit-identity tests rely on.
 type Parallel struct {
 	net       Network
 	rangeRows int

@@ -63,7 +63,7 @@ func vcsRevision() string {
 }
 
 // HashConfig fingerprints an ordered list of run-defining values as a
-// 64-bit FNV-1a hex string. Callers (engine.Config.Hash, perfbench) list
+// 64-bit FNV-1a hex string. Callers (engine.Config.Hash) list
 // every parameter that changes what a comparable run would measure.
 func HashConfig(parts ...any) string {
 	h := fnv.New64a()

@@ -55,10 +55,6 @@ func (r *RunReport) String() string {
 	}
 	wt.AddNote("overlap (%s branch): %.1f%% of %.6g s serial embedding comm hidden under compute",
 		r.Overlap.Branch, 100*r.Overlap.Efficiency, r.Overlap.SerialCommSeconds)
-	if r.Pipeline != nil {
-		wt.AddNote("iteration pipeline (wall clock): %d prefetched batches, %.6g s prep run ahead, %.6g s stalled (%.1f%% hidden)",
-			r.Pipeline.Batches, r.Pipeline.PrefetchSeconds, r.Pipeline.StallSeconds, 100*r.Pipeline.HiddenFraction)
-	}
 	b.WriteString(wt.String())
 	b.WriteByte('\n')
 

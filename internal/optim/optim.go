@@ -26,25 +26,6 @@ type Dense interface {
 	Name() string
 }
 
-// Linearizable is an optional capability of Sparse rules: a rule is linear
-// when applying gradients g1 then g2 to a row lands (up to float rounding)
-// where applying g1+g2 once would, and the clock advance is the only other
-// observable effect. The embedding table's queue-side delta fusion consults
-// it — fusing duplicate per-feature deltas is only meaningful for linear
-// rules; stateful rules like AdaGrad renormalise each Apply by the running
-// accumulator, so fusing would change the trajectory, not just the rounding,
-// and they keep the sequential apply.
-type Linearizable interface {
-	// Linear reports whether Apply is linear in the gradient.
-	Linear() bool
-}
-
-// IsLinear reports whether s declares the linear-apply capability.
-func IsLinear(s Sparse) bool {
-	l, ok := s.(Linearizable)
-	return ok && l.Linear()
-}
-
 // ChunkedDense is an optional capability of Dense rules: StepAt applies the
 // same elementwise update as Step restricted to params[offset:offset+len],
 // letting the engine sweep one dense step with several goroutines over
@@ -80,10 +61,6 @@ func (s *SGD) Step(params, grad []float32) {
 		params[i] -= s.LR * g
 	}
 }
-
-// Linear implements Linearizable: SGD keeps no per-feature state and its
-// update is a scaled subtraction, so queued deltas may be fused.
-func (s *SGD) Linear() bool { return true }
 
 // StepAt implements ChunkedDense; SGD keeps no positional state, so the
 // offset is irrelevant.

@@ -114,15 +114,6 @@ func TestDenseAdaGradPanics(t *testing.T) {
 	NewDenseAdaGrad(-1, 1)
 }
 
-func TestIsLinear(t *testing.T) {
-	if !IsLinear(NewSGD(0.1)) {
-		t.Error("SGD must declare linear apply")
-	}
-	if IsLinear(NewAdaGrad(0.1, 2, 3)) {
-		t.Error("AdaGrad must not declare linear apply: its accumulator makes fused and sequential applies diverge")
-	}
-}
-
 // TestChunkedDenseBitIdentical pins the ChunkedDense contract: sweeping one
 // dense step in arbitrary chunks must produce bit-identical parameters and
 // accumulator state to a whole-vector Step, because the update is

@@ -55,11 +55,6 @@ type HybridConfig struct {
 	// knob (block × Partitions float64s) with no effect on the output.
 	// 0 picks a size proportional to the vertex set.
 	DeltaBlock int
-	// Reference selects the strictly sequential one-vertex-at-a-time
-	// greedy (the pre-parallel implementation): every vertex scores
-	// against fully up-to-date state. It is the quality and wall-time
-	// baseline the perfbench harness compares the chunked passes against.
-	Reference bool
 	// CheckInvariants enables partition-accounting checks (maintained
 	// per-partition load/communication totals vs. from-scratch
 	// recomputation at round boundaries) even outside `go test`.
@@ -148,14 +143,25 @@ type HybridResult struct {
 // pass-constant δc cost vectors concurrently, then a single reducer makes
 // every greedy decision in canonical order against live balance state. The
 // output is bit-identical for a fixed seed regardless of GOMAXPROCS,
-// cfg.Parallelism or cfg.DeltaBlock. Set cfg.Reference for the strictly
-// sequential pre-parallel baseline.
+// cfg.Parallelism or cfg.DeltaBlock.
 //
 // Note on Eq. 2's sign: the paper writes δg = δc − δb but describes δb as
 // "the marginal cost of adding vertex v to partition Gi ... used to balance
 // workloads". A cost must make crowded partitions less attractive under
 // argmin, so this implementation adds the balance penalty: δg = δc + δb.
 func Hybrid(g *bigraph.Bigraph, cfg HybridConfig) (*HybridResult, error) {
+	return runHybrid(g, cfg, (*hybridState).chunkedPassSamples, (*hybridState).chunkedPassFeatures,
+		func(st *hybridState, _ []int32) { st.replicateTopK() })
+}
+
+// hybridPass is one of a round's three passes over a visit order: samples,
+// embeddings, or the 2D replication.
+type hybridPass func(st *hybridState, order []int32)
+
+// runHybrid is Algorithm 1's round loop with its passes supplied by the
+// caller, so tests can run the sequential greedy oracle through the same
+// initial state, visit orders and round accounting as Hybrid.
+func runHybrid(g *bigraph.Bigraph, cfg HybridConfig, passSamples, passFeatures, replicate hybridPass) (*HybridResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -197,23 +203,11 @@ func Hybrid(g *bigraph.Bigraph, cfg HybridConfig) (*HybridResult, error) {
 	for t := 0; t < cfg.Rounds; t++ {
 		st.sampleMoves, st.featureMoves = 0, 0
 		passStart := time.Now()
-		if cfg.Reference {
-			st.refPassSamples(sampleOrder)
-		} else {
-			st.chunkedPassSamples(sampleOrder)
-		}
+		passSamples(st, sampleOrder)
 		sampleDone := time.Now()
-		if cfg.Reference {
-			st.refPassFeatures(featOrder)
-		} else {
-			st.chunkedPassFeatures(featOrder)
-		}
+		passFeatures(st, featOrder)
 		featureDone := time.Now()
-		if cfg.Reference {
-			st.refReplicate(featOrder)
-		} else {
-			st.replicateTopK()
-		}
+		replicate(st, featOrder)
 		replicateDone := time.Now()
 		st.checkAccounting(t + 1)
 		res.Rounds = append(res.Rounds, RoundStat{

@@ -102,12 +102,10 @@ func TestHybridChunkedMatchesReferenceQuality(t *testing.T) {
 	} {
 		cfg := DefaultHybridConfig(8)
 		cfg.Weights = tc.weights
-		cfg.Reference = true
-		ref, err := Hybrid(g, cfg)
+		ref, err := hybridReference(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Reference = false
 		par, err := Hybrid(g, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -131,10 +129,9 @@ func BenchmarkHybridReference(b *testing.B) {
 	g := bigraph.FromDataset(ds)
 	cfg := DefaultHybridConfig(8)
 	cfg.Rounds = 1
-	cfg.Reference = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Hybrid(g, cfg); err != nil {
+		if _, err := hybridReference(g, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

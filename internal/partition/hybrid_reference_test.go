@@ -1,12 +1,24 @@
 package partition
 
-import "sort"
+import (
+	"sort"
 
-// The strictly sequential greedy — the pre-parallel implementation, kept as
-// the quality and wall-time baseline behind HybridConfig.Reference. Every
-// vertex scores against fully up-to-date state, so this path defines the
-// greedy semantics the chunked-delta passes approximate; perfbench records
-// both so BENCH_partition.json carries the speedup trajectory.
+	"hetgmp/internal/bigraph"
+)
+
+// The strictly sequential greedy — the pre-parallel implementation, kept in
+// test code as the quality oracle for the chunked-delta passes. Every vertex
+// scores against fully up-to-date state, so this path defines the greedy
+// semantics the chunked passes approximate. It is not bit-identical to them
+// (the chunked passes score a block against pass-constant δc vectors), which
+// is why a GOMAXPROCS=1 run of Hybrid cannot stand in for it.
+
+// hybridReference runs Algorithm 1 with the sequential passes below through
+// Hybrid's own round loop.
+func hybridReference(g *bigraph.Bigraph, cfg HybridConfig) (*HybridResult, error) {
+	return runHybrid(g, cfg, (*hybridState).refPassSamples, (*hybridState).refPassFeatures,
+		(*hybridState).refReplicate)
+}
 
 // refPassSamples performs the sample-vertex half of the 1D pass: each
 // sample moves to the partition minimising δc + δb.
